@@ -538,6 +538,7 @@ BENCHMARK(BM_CodecEncode);
 void BM_CodecDecode(benchmark::State& state) {
   const Mask mask = MakeBlobMask(224, 7);
   const std::string blob = EncodeMask(mask);
+  state.counters["blob_bytes"] = static_cast<double>(blob.size());
   for (auto _ : state) {
     benchmark::DoNotOptimize(DecodeMask(blob));
   }
@@ -545,6 +546,37 @@ void BM_CodecDecode(benchmark::State& state) {
                           mask.ByteSize());
 }
 BENCHMARK(BM_CodecDecode);
+
+// Decode of the perfbench verify_cpu mask shape: a 112² saliency map whose
+// uniform noise floor makes most RLE runs one pixel long, so per-run cost
+// (not run filling) dominates.
+void BM_CodecDecodeSaliency(benchmark::State& state) {
+  const Mask mask = MakeBlobMask(112, 9);
+  const std::string blob = EncodeMask(mask);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeMask(blob));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          mask.ByteSize());
+  state.counters["blob_bytes"] = static_cast<double>(blob.size());
+}
+BENCHMARK(BM_CodecDecodeSaliency);
+
+// The [0, 1) domain check every store load pays (Mask::FromData), on a
+// 112² frame. The frame is moved in and back out, so no copy is timed.
+void BM_MaskFromData(benchmark::State& state) {
+  const Mask mask = MakeBlobMask(112, 10);
+  std::vector<float> values = mask.data();
+  for (auto _ : state) {
+    Result<Mask> adopted =
+        Mask::FromData(mask.width(), mask.height(), std::move(values));
+    benchmark::DoNotOptimize(adopted);
+    values = std::move(adopted->mutable_data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          mask.ByteSize());
+}
+BENCHMARK(BM_MaskFromData);
 
 void BM_PredicateBoundEval(benchmark::State& state) {
   // Full per-mask filter-stage work for a two-term predicate.

@@ -388,18 +388,22 @@ Result<MaskId> Ingestor::AppendBlob(MaskMeta meta, const std::string& blob) {
   MaskId visible_id = 0;
   std::shared_ptr<ChiCache> chi;
   MS_ASSIGN_OR_RETURN(MaskId id, AppendEncoded(meta, blob, &visible_id, &chi));
-  if (chi != nullptr) {
-    // Decode to index. A blob that does not decode is still appended
-    // verbatim (the writer contract); it just gets no ingest-time CHI.
+  // Decode to index, into a frame sized from `meta`. A blob that does not
+  // decode to exactly meta's shape is still appended verbatim (the writer
+  // contract); it just gets no ingest-time CHI.
+  const int64_t pixels = static_cast<int64_t>(meta.width) * meta.height;
+  if (chi != nullptr && meta.width > 0 && meta.height > 0 &&
+      pixels <= kMaxDecodePixels) {
+    std::vector<float> values(static_cast<size_t>(pixels));
+    if (kind_ == StorageKind::kRawFloat32) {
+      std::memcpy(values.data(), blob.data(), blob.size());
+    } else if (!DecodeMaskInto(blob.data(), blob.size(), meta.width,
+                               meta.height, values.data())
+                    .ok()) {
+      return id;
+    }
     Result<Mask> decoded =
-        kind_ == StorageKind::kRawFloat32
-            ? [&]() -> Result<Mask> {
-                std::vector<float> values(blob.size() / sizeof(float));
-                std::memcpy(values.data(), blob.data(), blob.size());
-                return Mask::FromData(meta.width, meta.height,
-                                      std::move(values));
-              }()
-            : DecodeMask(blob);
+        Mask::FromData(meta.width, meta.height, std::move(values));
     if (decoded.ok()) BuildIngestChi(chi, visible_id, *decoded);
   }
   return id;

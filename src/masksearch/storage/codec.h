@@ -35,7 +35,20 @@ struct CodecOptions {
 /// midpoints, so quantize→encode→decode→quantize is idempotent.
 std::string EncodeMask(const Mask& mask, const CodecOptions& opts = {});
 
-/// \brief Decodes a blob produced by EncodeMask.
+/// \brief Largest mask, in pixels, that DecodeMask allocates for
+/// (8192 x 8192, 256 MiB of float32). A blob whose header claims more is
+/// rejected as Corruption before any allocation.
+constexpr int64_t kMaxDecodePixels = int64_t{1} << 26;
+
+/// \brief Decodes a blob produced by EncodeMask into the caller's frame
+/// `out[0, width*height)`, row-major. The blob header's dimensions must equal
+/// `width` x `height` (the manifest's MaskMeta); a mismatch, like any damaged
+/// or truncated blob, is Corruption. `out` may be partly written on error.
+Status DecodeMaskInto(const void* data, size_t size, int32_t width,
+                      int32_t height, float* out);
+
+/// \brief Decodes a blob produced by EncodeMask, taking the shape from its
+/// header (capped at kMaxDecodePixels).
 Result<Mask> DecodeMask(const std::string& blob);
 Result<Mask> DecodeMask(const void* data, size_t size);
 

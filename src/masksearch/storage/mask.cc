@@ -22,6 +22,28 @@ const char* MaskTypeToString(MaskType t) {
   return "unknown";
 }
 
+namespace {
+
+// True iff every value is in [0, 1) (NaN is not). Branch-free, with one
+// accumulator per lane so the compiler vectorizes it at -O2 as well; an
+// early-exit loop stays one scalar compare per pixel.
+bool AllInDomain(const float* data, size_t n) {
+  constexpr size_t kLanes = 8;
+  unsigned lane_ok[kLanes] = {1, 1, 1, 1, 1, 1, 1, 1};
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (size_t k = 0; k < kLanes; ++k) {
+      lane_ok[k] &= (data[i + k] >= 0.0f) & (data[i + k] < 1.0f);
+    }
+  }
+  unsigned ok = 1;
+  for (unsigned l : lane_ok) ok &= l;
+  for (; i < n; ++i) ok &= (data[i] >= 0.0f) & (data[i] < 1.0f);
+  return ok != 0;
+}
+
+}  // namespace
+
 Result<Mask> Mask::FromData(int32_t width, int32_t height,
                             std::vector<float> data) {
   if (width <= 0 || height <= 0) {
@@ -35,10 +57,14 @@ Result<Mask> Mask::FromData(int32_t width, int32_t height,
         " does not match dimensions " + std::to_string(width) + "x" +
         std::to_string(height));
   }
-  for (float v : data) {
-    if (!(v >= 0.0f && v < 1.0f)) {
-      return Status::InvalidArgument("mask pixel value " + std::to_string(v) +
-                                     " outside [0, 1)");
+  // Only a failing frame pays the rescan for its first bad pixel, which the
+  // error names.
+  if (!AllInDomain(data.data(), data.size())) {
+    for (float v : data) {
+      if (!(v >= 0.0f && v < 1.0f)) {
+        return Status::InvalidArgument("mask pixel value " +
+                                       std::to_string(v) + " outside [0, 1)");
+      }
     }
   }
   return Mask(width, height, std::move(data));

@@ -31,6 +31,26 @@ StorageMetrics& Metrics() {
   return m;
 }
 
+/// Decodes compressed blob `id` into a frame sized from its manifest meta.
+/// A blob whose header disagrees with the meta is Corruption naming the id.
+Result<Mask> DecodeForMeta(MaskId id, const MaskMeta& m, const char* blob,
+                           size_t nbytes) {
+  const int64_t pixels = static_cast<int64_t>(m.width) * m.height;
+  if (m.width <= 0 || m.height <= 0 || pixels > kMaxDecodePixels) {
+    return Status::Corruption("mask " + std::to_string(id) +
+                              ": manifest dimensions " +
+                              std::to_string(m.width) + "x" +
+                              std::to_string(m.height) + " are not decodable");
+  }
+  std::vector<float> values(static_cast<size_t>(pixels));
+  Status st = DecodeMaskInto(blob, nbytes, m.width, m.height, values.data());
+  if (!st.ok()) {
+    return Status::Corruption("mask " + std::to_string(id) + ": " +
+                              st.message());
+  }
+  return Mask::FromData(m.width, m.height, std::move(values));
+}
+
 }  // namespace
 
 ShardedMaskStore::ShardedMaskStore(
@@ -116,7 +136,7 @@ Result<Mask> ShardedMaskStore::LoadMask(MaskId id) const {
   std::string blob;
   blob.resize(nbytes);
   MS_RETURN_NOT_OK(data.ReadAt(offsets_[id], nbytes, blob.data()));
-  return DecodeMask(blob);
+  return DecodeForMeta(id, m, blob.data(), nbytes);
 }
 
 Status ShardedMaskStore::LoadShardRuns(int32_t shard,
@@ -127,6 +147,8 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
   // Scratch for coalesced-over gap bytes. Gap slices may alias it: preadv
   // fills destinations in order and the content is discarded.
   std::vector<char> gap_buf;
+  // Compressed blobs of the current run, back to back; reused across runs.
+  std::vector<char> blob_buf;
 
   struct RawDest {
     size_t out_idx;
@@ -134,7 +156,7 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
   };
   struct BlobDest {
     size_t out_idx;
-    std::string bytes;
+    size_t buf_offset;  ///< into blob_buf
   };
 
   size_t pos = 0;
@@ -161,6 +183,7 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
     // All scratch is sized before any slice points into it: a reallocation
     // would dangle the earlier slices.
     uint64_t max_gap = 0;
+    uint64_t blob_bytes = 0;
     {
       uint64_t scan = run_start;
       for (size_t p = pos; p < end; ++p) {
@@ -169,9 +192,13 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
           max_gap = std::max(max_gap, offsets_[id] - scan);
         }
         scan = std::max(scan, offsets_[id] + sizes_[id]);
+        if (p == pos || ids[order[p - 1]] != id) blob_bytes += sizes_[id];
       }
     }
     if (gap_buf.size() < max_gap) gap_buf.resize(max_gap);
+    if (kind_ != StorageKind::kRawFloat32 && blob_buf.size() < blob_bytes) {
+      blob_buf.resize(blob_bytes);
+    }
 
     std::vector<IoSlice> slices;
     std::vector<RawDest> raw_dests;
@@ -180,6 +207,7 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
     blob_dests.reserve(end - pos);
     std::vector<std::pair<size_t, size_t>> dups;  // (dup out idx, first idx)
     uint64_t cursor = run_start;
+    size_t blob_cursor = 0;
     size_t first_idx = order[pos];
     for (size_t p = pos; p < end; ++p) {
       const size_t i = order[p];
@@ -204,8 +232,9 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
         raw_dests.push_back(RawDest{i, std::move(values)});
         slices.push_back(IoSlice{raw_dests.back().values.data(), nbytes});
       } else {
-        blob_dests.push_back(BlobDest{i, std::string(nbytes, '\0')});
-        slices.push_back(IoSlice{blob_dests.back().bytes.data(), nbytes});
+        blob_dests.push_back(BlobDest{i, blob_cursor});
+        slices.push_back(IoSlice{blob_buf.data() + blob_cursor, nbytes});
+        blob_cursor += nbytes;
       }
       cursor = offsets_[id] + nbytes;
     }
@@ -226,8 +255,11 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
                                          std::move(d.values)));
     }
     for (const BlobDest& d : blob_dests) {
+      const MaskId id = ids[d.out_idx];
       MS_ASSIGN_OR_RETURN((*out)[d.out_idx],
-                          DecodeMask(d.bytes.data(), d.bytes.size()));
+                          DecodeForMeta(id, metas_[id],
+                                        blob_buf.data() + d.buf_offset,
+                                        sizes_[id]));
     }
     for (const auto& [dup_idx, src_idx] : dups) {
       (*out)[dup_idx] = (*out)[src_idx];

@@ -185,6 +185,35 @@ TEST(IngestTest, AppendBlobRoundTripsRawBytes) {
   EXPECT_FALSE(ingestor->AppendBlob(bad, blob).ok());
 }
 
+TEST(IngestTest, AppendBlobShapeMismatchIsVerbatimWithoutChi) {
+  // A compressed blob whose header disagrees with its meta is appended
+  // verbatim like an undecodable one: no ingest-time CHI, and a typed
+  // Corruption when read back.
+  TempDir dir("ingest_blob_shape");
+  IngestorOptions opts = TestIngestOptions();
+  opts.kind = StorageKind::kCompressed;
+  auto ingestor = Ingestor::Create(dir.path(), opts).ValueOrDie();
+  Rng rng(43);
+  MaskMeta meta = MetaFor(0, 0);
+  meta.width = 16;
+  meta.height = 8;
+  const std::string good = EncodeMask(BlobMask(&rng, 16, 8));
+  const std::string transposed = EncodeMask(BlobMask(&rng, 8, 16));
+  const MaskId good_id = ingestor->AppendBlob(meta, good).ValueOrDie();
+  EXPECT_EQ(ingestor->Stats().chis_built, 1);
+  const MaskId bad_id = ingestor->AppendBlob(meta, transposed).ValueOrDie();
+  EXPECT_EQ(ingestor->Stats().chis_built, 1);
+  MS_ASSERT_OK(ingestor->Publish());
+
+  const auto snap = ingestor->snapshot();
+  const MaskStore& store = snap->store();
+  std::string blob;
+  MS_ASSERT_OK(store.ReadBlob(bad_id, &blob));
+  EXPECT_EQ(blob, transposed);
+  EXPECT_TRUE(store.LoadMask(good_id).ok());
+  EXPECT_TRUE(store.LoadMask(bad_id).status().IsCorruption());
+}
+
 TEST(IngestTest, OpenResumesAtLastDurableEpoch) {
   TempDir dir("ingest_resume");
   Rng rng(53);

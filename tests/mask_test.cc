@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "masksearch/storage/mask.h"
 #include "test_util.h"
@@ -87,6 +90,45 @@ TEST(MaskTest, FromDataValidatesDomain) {
   auto ok = Mask::FromData(2, 1, {0.0f, 0.999f});
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->at(1, 0), 0.999f);
+}
+
+TEST(MaskTest, FromDataNamesFirstOutOfDomainPixel) {
+  // 13 x 3 = 39 pixels: four full 8-lane blocks plus a 7-pixel tail (32..38).
+  const int32_t w = 13;
+  const int32_t h = 3;
+  struct Bad {
+    float value;
+    const char* text;
+  };
+  const Bad bads[] = {{std::nanf(""), "nan"},
+                      {1.0f, "1.000000"},
+                      {-0.25f, "-0.250000"},
+                      {std::numeric_limits<float>::infinity(), "inf"}};
+  for (const Bad& bad : bads) {
+    for (size_t pos : {size_t{0}, size_t{7}, size_t{19}, size_t{33},
+                       size_t{38}}) {
+      std::vector<float> data(static_cast<size_t>(w) * h, 0.5f);
+      data[pos] = bad.value;
+      auto r = Mask::FromData(w, h, std::move(data));
+      ASSERT_TRUE(r.status().IsInvalidArgument()) << "pixel " << pos;
+      EXPECT_EQ(r.status().message(),
+                std::string("mask pixel value ") + bad.text + " outside [0, 1)")
+          << "pixel " << pos;
+    }
+  }
+  // With several bad pixels, the first in row-major order is named.
+  std::vector<float> data(static_cast<size_t>(w) * h, 0.0f);
+  data[35] = -1.0f;
+  data[20] = 2.0f;
+  EXPECT_EQ(Mask::FromData(w, h, std::move(data)).status().message(),
+            "mask pixel value 2.000000 outside [0, 1)");
+  // Domain edges: 0 and the largest float below 1 are accepted everywhere.
+  std::vector<float> edges(static_cast<size_t>(w) * h);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    edges[i] = i % 2 ? std::nextafter(1.0f, 0.0f) : 0.0f;
+  }
+  edges[38] = -0.0f;  // compares equal to 0
+  EXPECT_TRUE(Mask::FromData(w, h, std::move(edges)).ok());
 }
 
 TEST(MaskTest, ClampToDomain) {

@@ -227,6 +227,48 @@ TEST(ShardedStoreTest, TruncatedShardFailsOnlyThatShard) {
   }
 }
 
+TEST(ShardedStoreTest, CompressedBlobShapeMustMatchManifest) {
+  // Mask 5's blob is a valid 10x12 codec frame, but the manifest says
+  // 12x10 (same pixel count): every read path reports Corruption naming it.
+  TempDir dir("sharded");
+  Rng rng(17);
+  MaskStoreWriter::Options wopts;
+  wopts.kind = StorageKind::kCompressed;
+  wopts.num_shards = 3;
+  auto writer = MaskStoreWriter::Create(dir.path(), wopts).ValueOrDie();
+  for (int i = 0; i < 9; ++i) {
+    MaskMeta meta;
+    meta.image_id = i;
+    meta.width = 12;
+    meta.height = 10;
+    const Mask m = i == 5 ? RandomMask(&rng, 10, 12) : RandomMask(&rng, 12, 10);
+    writer->AppendBlob(meta, EncodeMask(m)).ValueOrDie();
+  }
+  MS_ASSERT_OK(writer->Finish());
+
+  ThreadPool pool(2);
+  for (ThreadPool* io_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    MaskStore::Options opts;
+    opts.io_pool = io_pool;
+    auto store = MaskStore::Open(dir.path(), opts).ValueOrDie();
+    Result<Mask> one = store->LoadMask(5);
+    ASSERT_TRUE(one.status().IsCorruption()) << one.status().ToString();
+    EXPECT_NE(one.status().message().find("mask 5"), std::string::npos)
+        << one.status().ToString();
+    auto batch = store->LoadMaskBatch({4, 5, 6, 2});
+    ASSERT_TRUE(batch.status().IsCorruption()) << batch.status().ToString();
+    EXPECT_NE(batch.status().message().find("mask 5"), std::string::npos)
+        << batch.status().ToString();
+    // Batches that avoid it, including its shard neighbours, still load.
+    auto good = store->LoadMaskBatch({0, 2, 8, 3, 4, 6, 7, 1});
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    for (const Mask& m : *good) {
+      EXPECT_EQ(m.width(), 12);
+      EXPECT_EQ(m.height(), 10);
+    }
+  }
+}
+
 TEST(ShardedStoreTest, MissingShardFileFailsOpen) {
   TempDir dir("sharded");
   WriteStore(dir.path(), 8, 4, StorageKind::kRawFloat32);

@@ -76,12 +76,13 @@ fi
 echo "bench JSON results:"
 ls -l "$JSON_DIR"/BENCH_*.json 2>/dev/null || echo "  (none written)"
 
-# The sharded-I/O, overlapped-pipeline, and cold/warm cache benches must be
-# part of the micro-kernel run (guards against the perf-trajectory benches
-# bit-rotting out of the driver).
+# The sharded-I/O, overlapped-pipeline, cold/warm cache, and cache-miss
+# decode benches must be part of the micro-kernel run (guards against the
+# perf-trajectory benches bit-rotting out of the driver).
 for bench in BM_ShardedBatchIopBound BM_MaskAggVerifyPipeline \
              BM_CachedBatchLoadCold BM_CachedBatchLoadWarm \
-             BM_RepeatedFilterWarmCache; do
+             BM_RepeatedFilterWarmCache BM_CodecDecodeSaliency \
+             BM_MaskFromData; do
   if ! grep -q "$bench" "$JSON_DIR/BENCH_micro_kernels.json" 2>/dev/null; then
     echo "MISSING: $bench not in BENCH_micro_kernels.json" >&2
     status=1
