@@ -370,8 +370,8 @@ struct AggPipelineFixture {
 
 // arg 0: the PR 2 schedule — parallel batched verification, loads inside
 //        the verify tasks, single-file store.
-// arg 1: + overlapped pipeline (io_pool, double buffering + prefetch),
-//        single-file store.
+// arg 1: + overlapped pipeline (io_pool, double buffering), single-file
+//        store.
 // arg 2: + 4-shard store with shard-parallel batch reads, one modeled
 //        device per shard — the full sharded + overlapped scale-out
 //        configuration.
@@ -385,11 +385,7 @@ void BM_MaskAggVerifyPipeline(benchmark::State& state) {
   EngineOptions opts;
   opts.pool = f.pool.get();
   opts.agg_verify_batch = 4;
-  if (mode >= 1) {
-    opts.io_pool = f.io_pool.get();
-    opts.inflight_batches = 2;
-    opts.prefetch_depth = 2;
-  }
+  if (mode >= 1) opts.io_pool = f.io_pool.get();
   for (auto _ : state) {
     DerivedIndexCache cache(f.Config());
     auto r = ExecuteMaskAgg(*f.store, nullptr, &cache, q, opts);

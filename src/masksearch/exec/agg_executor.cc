@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "masksearch/common/stopwatch.h"
@@ -112,8 +113,9 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
   AggResult result;
   result.stats.masks_targeted = static_cast<int64_t>(ids.size());
 
-  // Per-group bound intervals from member CHIs (no disk access). Index i of
-  // `group_list` aligns with `bounds` and `member_intervals`.
+  // Per-group bound intervals from member CHIs — the IndexManager's or the
+  // bounded chi_cache's (no disk access). Index i of `group_list` aligns
+  // with `bounds` and `member_intervals`.
   struct GroupState {
     int64_t key;
     const std::vector<MaskId>* members;
@@ -127,11 +129,13 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
     gs.key = key;
     gs.members = &members;
     gs.agg_bounds = Interval{-kInf, kInf};
-    bool all_indexed = opts.use_index && index != nullptr;
+    bool all_indexed =
+        opts.use_index && (index != nullptr || opts.chi_cache != nullptr);
     if (all_indexed) {
       gs.member_intervals.reserve(members.size());
       for (MaskId id : members) {
-        const Chi* chi = index->Get(id);
+        const std::shared_ptr<const Chi> chi =
+            internal::ChiForBounds(index, opts.chi_cache, id);
         if (chi == nullptr) {
           all_indexed = false;
           gs.member_intervals.clear();

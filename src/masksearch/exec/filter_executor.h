@@ -7,15 +7,12 @@
 // exactly the set of masks satisfying the predicate (correctness guarantee
 // of §3.2).
 //
-// Under EngineOptions::batch_io (the default) verification is staged: the
-// undecided masks stream through MaskStore::LoadMaskBatch in offset-sorted,
-// coalesced, shard-parallel batches (EngineOptions::filter_verify_batch) and
-// each batch is evaluated across the pool; with EngineOptions::io_pool set,
-// the next batch's reads are prefetched while the current one is evaluated.
-// With batch_io = false the executor falls back to the fused per-mask
-// load-and-evaluate loop (one disk request per verified mask). Both paths
-// return identical results and per-mask stats; only the request pattern to
-// the (modeled) disk differs.
+// Verification runs through the shared pipeline of exec/verify_pipeline.h:
+// the undecided masks are read in batches (EngineOptions::filter_verify_batch),
+// one offset-sorted, coalesced, shard-parallel MaskStore::LoadMaskBatch per
+// batch, and each batch is evaluated across the pool; with
+// EngineOptions::io_pool set, the next batch's reads are prefetched while
+// the current one is evaluated.
 
 #ifndef MASKSEARCH_EXEC_FILTER_EXECUTOR_H_
 #define MASKSEARCH_EXEC_FILTER_EXECUTOR_H_

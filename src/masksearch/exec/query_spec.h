@@ -57,9 +57,9 @@ struct ExecStats {
   /// Overlapped-pipeline io_pool load tasks skipped because every mask they
   /// would fetch was already resident in the buffer pool — the cache-aware
   /// prefetch of docs/CACHING.md. One count per avoided load task, which is
-  /// the pipeline's load unit: a whole verification batch in the staged
-  /// filter, one group's members in mask-agg. Skipped loads are served from
-  /// memory at verify time without touching the io_pool or the disk.
+  /// the pipeline's load unit: a whole verification batch in the filter,
+  /// one group's members in mask-agg. Skipped loads are served from memory
+  /// at verify time without touching the io_pool or the disk.
   int64_t prefetch_skipped = 0;
   double seconds = 0.0;
 

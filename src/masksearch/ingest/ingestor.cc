@@ -533,13 +533,15 @@ Status Ingestor::PublishLocked(int64_t next_epoch) {
       std::shared_ptr<const Snapshot> snap,
       BuildSnapshot(next_epoch, metas_, offsets_, sizes_, tombstones));
   {
+    // The counters advance with the snapshot they describe, so a reader that
+    // sees the new snapshot never reads an older epoch() afterwards.
     std::lock_guard<std::mutex> lock(snap_mu_);
     current_ = std::move(snap);
+    epoch_.store(next_epoch, std::memory_order_release);
+    watermark_.store(
+        static_cast<int64_t>(metas_.size() - tombstones_.size()),
+        std::memory_order_release);
   }
-  epoch_.store(next_epoch, std::memory_order_release);
-  watermark_.store(
-      static_cast<int64_t>(metas_.size() - tombstones_.size()),
-      std::memory_order_release);
   IngestMetrics().epochs_published->Inc();
   IngestMetrics().visible_masks->Set(
       static_cast<double>(metas_.size() - tombstones_.size()));

@@ -14,10 +14,12 @@
 
 #include "masksearch/cache/buffer_pool.h"
 #include "masksearch/cache/cached_mask_store.h"
+#include "masksearch/exec/agg_executor.h"
 #include "masksearch/exec/filter_executor.h"
 #include "masksearch/exec/mask_agg.h"
 #include "masksearch/exec/session.h"
 #include "masksearch/exec/topk_executor.h"
+#include "masksearch/index/chi_builder.h"
 #include "masksearch/storage/sharded_mask_store.h"
 #include "test_util.h"
 
@@ -203,6 +205,39 @@ TEST_F(CachedExecTest, ChiCacheSuppliesBoundsOnSecondPass) {
   }
 }
 
+TEST_F(CachedExecTest, ScalarAggTakesBoundsFromChiCache) {
+  // A live dataset's snapshot session pairs an empty IndexManager with the
+  // ingest-built ChiCache. Scalar aggregates must get the same bounds from
+  // the cache as from a full index: same decisions, same loads.
+  ChiCache chi_cache(pool_, TestConfig());
+  for (MaskId id = 0; id < plain_->num_masks(); ++id) {
+    chi_cache.Put(id, BuildChi(plain_->LoadMask(id).ValueOrDie(), TestConfig()));
+  }
+  IndexManager empty(plain_->num_masks(), TestConfig());
+  EngineOptions opts;
+  opts.chi_cache = &chi_cache;
+  opts.build_missing = false;
+
+  AggregationQuery q;
+  q.term = CpTerm{RoiSource::kObjectBox, ROI(), ValueRange(0.6, 1.0)};
+  q.op = ScalarAggOp::kAvg;
+  q.k = 4;
+  const AggResult want =
+      ExecuteAggregation(*plain_, index_.get(), q).ValueOrDie();
+  const AggResult got =
+      ExecuteAggregation(*plain_, &empty, q, opts).ValueOrDie();
+  EXPECT_GT(want.stats.pruned + want.stats.accepted_by_bounds, 0);
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (size_t i = 0; i < want.groups.size(); ++i) {
+    EXPECT_EQ(got.groups[i].group, want.groups[i].group);
+    EXPECT_EQ(got.groups[i].value, want.groups[i].value);
+  }
+  EXPECT_EQ(got.stats.pruned, want.stats.pruned);
+  EXPECT_EQ(got.stats.accepted_by_bounds, want.stats.accepted_by_bounds);
+  EXPECT_EQ(got.stats.candidates, want.stats.candidates);
+  EXPECT_EQ(got.stats.masks_loaded, want.stats.masks_loaded);
+}
+
 TEST_F(CachedExecTest, SessionThreadsCacheThroughQueries) {
   SessionOptions sopts;
   sopts.chi = TestConfig();
@@ -293,7 +328,6 @@ TEST(CachePinStressTest, ConcurrentMaskAggAndBatchLoads) {
       opts.pool = &compute;
       opts.io_pool = &io_pool;
       opts.agg_verify_batch = 3;
-      opts.prefetch_depth = 2;
       for (int rep = 0; rep < 4; ++rep) {
         DerivedIndexCache cache(TestConfig(), pool);
         auto got = ExecuteMaskAgg(*store, &index, &cache, q, opts);

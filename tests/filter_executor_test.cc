@@ -212,39 +212,65 @@ TEST_F(FilterExecutorTest, RandomizedQueriesMatchReference) {
   }
 }
 
-TEST_F(FilterExecutorTest, StagedBatchedVerificationMatchesFused) {
-  // The staged path (batch_io, the default) and the fused per-mask path
-  // must agree on results and per-mask stats; only the I/O request pattern
-  // may differ. Also exercised with overlap (io_pool) and a small batch so
-  // several pipeline refills happen.
+TEST_F(FilterExecutorTest, PipelinedVerificationMatchesSerial) {
+  // The serial schedule (no pools: one batch in flight, loads at verify
+  // time) and the pooled and overlapped schedules of the verification
+  // pipeline must agree on results and on every per-mask stat; only the
+  // I/O request pattern may differ. A small batch forces several pipeline
+  // refills.
   ThreadPool pool(4);
+  ThreadPool io_pool(2);
   for (double threshold : {0.0, 100.0, 500.0}) {
     const FilterQuery q = ObjectQuery(0.55, 1.0, threshold);
-    EngineOptions fused;
-    fused.batch_io = false;
-    fused.pool = &pool;
-    auto want = ExecuteFilter(*store_, index_.get(), q, fused);
+    auto want = ExecuteFilter(*store_, index_.get(), q);
     ASSERT_TRUE(want.ok()) << want.status();
 
-    EngineOptions staged;
-    staged.pool = &pool;
-    staged.filter_verify_batch = 5;
-    auto got = ExecuteFilter(*store_, index_.get(), q, staged);
-    ASSERT_TRUE(got.ok()) << got.status();
-
-    EngineOptions overlapped = staged;
-    overlapped.io_pool = &pool;
-    auto got_overlap = ExecuteFilter(*store_, index_.get(), q, overlapped);
-    ASSERT_TRUE(got_overlap.ok()) << got_overlap.status();
-
-    for (const auto* r : {&*got, &*got_overlap}) {
-      EXPECT_EQ(r->mask_ids, want->mask_ids) << "threshold " << threshold;
-      EXPECT_EQ(r->stats.masks_loaded, want->stats.masks_loaded);
-      EXPECT_EQ(r->stats.pruned, want->stats.pruned);
-      EXPECT_EQ(r->stats.accepted_by_bounds, want->stats.accepted_by_bounds);
-      EXPECT_EQ(r->stats.candidates, want->stats.candidates);
-      EXPECT_EQ(r->stats.bytes_read, want->stats.bytes_read);
+    EngineOptions pooled;
+    pooled.pool = &pool;
+    pooled.filter_verify_batch = 5;
+    EngineOptions overlapped = pooled;
+    overlapped.io_pool = &io_pool;
+    EngineOptions aliased = pooled;
+    aliased.io_pool = &pool;
+    for (const EngineOptions& opts : {pooled, overlapped, aliased}) {
+      auto got = ExecuteFilter(*store_, index_.get(), q, opts);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->mask_ids, want->mask_ids) << "threshold " << threshold;
+      EXPECT_EQ(got->stats.masks_loaded, want->stats.masks_loaded);
+      EXPECT_EQ(got->stats.pruned, want->stats.pruned);
+      EXPECT_EQ(got->stats.accepted_by_bounds, want->stats.accepted_by_bounds);
+      EXPECT_EQ(got->stats.candidates, want->stats.candidates);
+      EXPECT_EQ(got->stats.bytes_read, want->stats.bytes_read);
     }
+  }
+}
+
+TEST(FilterPipelineFailureTest, FailedLoadReturnsItsOwnStatus) {
+  // Mask 13 is corrupt. With no index every mask is verified, four per
+  // batch, so its load fails in the fourth of six batches — under io_pool
+  // as a prefetch while batch three is verified. Every schedule must return
+  // the load's own Corruption (not a generic I/O error) and must not hang
+  // on the loads still in flight.
+  TempDir dir("filter_corrupt");
+  auto store = testing_util::MakeStoreWithCorruptMask(dir.path(), 12, 13);
+  FilterQuery q;
+  q.terms.emplace_back();
+  q.terms[0].range = ValueRange(0.5, 1.0);
+  q.predicate = Predicate::Compare(CpExpr::Term(0), CompareOp::kGt, 10.0);
+  ThreadPool pool(3);
+  ThreadPool io_pool(2);
+  const std::pair<ThreadPool*, ThreadPool*> schedules[] = {
+      {nullptr, nullptr}, {&pool, nullptr}, {nullptr, &io_pool},
+      {&pool, &io_pool},  {&pool, &pool}};
+  for (const auto& [compute, io] : schedules) {
+    EngineOptions opts;
+    opts.pool = compute;
+    opts.io_pool = io;
+    opts.filter_verify_batch = 4;
+    auto r = ExecuteFilter(*store, nullptr, q, opts);
+    ASSERT_TRUE(r.status().IsCorruption()) << r.status();
+    EXPECT_NE(r.status().message().find("mask 13"), std::string::npos)
+        << r.status();
   }
 }
 

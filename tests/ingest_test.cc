@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "masksearch/catalog/catalog.h"
@@ -279,6 +281,33 @@ TEST(IngestTest, ServiceResolvesEpochAtAdmission) {
   pending2.reset();
   EXPECT_EQ(ingestor->Stats().live_snapshots, 0);
   service->Shutdown();
+}
+
+TEST(IngestTest, EpochNeverLagsThePublishedSnapshot) {
+  // Publish advances epoch() in the critical section that installs the new
+  // snapshot, so a reader that has seen snapshot epoch E reads epoch() >= E
+  // right afterwards, however the publishes interleave.
+  TempDir dir("ingest_epoch_order");
+  auto ingestor = Ingestor::Create(dir.path(), TestIngestOptions()).ValueOrDie();
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> lagged{0};
+  std::atomic<int64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        const int64_t seen = ingestor->snapshot()->epoch();
+        if (seen > ingestor->epoch()) lagged.fetch_add(1);
+        reads.fetch_add(1);
+      }
+    });
+  }
+  for (int e = 0; e < 500; ++e) MS_EXPECT_OK(ingestor->Publish());
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(ingestor->epoch(), 500);
+  EXPECT_EQ(lagged.load(), 0);
+  EXPECT_GT(reads.load(), 0);
 }
 
 TEST(IngestTest, CatalogRegisterLiveServesInserts) {

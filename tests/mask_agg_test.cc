@@ -286,9 +286,9 @@ class MaskAggParallelTest : public MaskAggExecTest {
     ExpectMatchesSerial(*store_, q, parallel);
   }
 
-  /// The overlapped pipeline (io_pool + prefetch-ahead) over a sharded copy
-  /// of the store, with shard-parallel batch reads — the full PR 3
-  /// configuration — must still match the serial schedule byte for byte.
+  /// The overlapped pipeline (io_pool, double buffering) over a sharded
+  /// copy of the store, with shard-parallel batch reads, must still match
+  /// the serial schedule byte for byte.
   void ExpectOverlappedShardedMatchesSerial(const MaskAggQuery& q) {
     TempDir sharded_dir("maskagg_sharded");
     MS_ASSERT_OK(ReshardMaskStore(*store_, sharded_dir.path(), 4));
@@ -302,8 +302,6 @@ class MaskAggParallelTest : public MaskAggExecTest {
     overlapped.pool = &pool;
     overlapped.io_pool = &io_pool;
     overlapped.agg_verify_batch = 4;
-    overlapped.inflight_batches = 2;
-    overlapped.prefetch_depth = 2;
     ExpectMatchesSerial(*sharded, q, overlapped);
 
     // io_pool aliasing the compute pool must also be safe (ParallelFor
@@ -398,22 +396,86 @@ TEST_F(MaskAggExecTest, RepeatedQueryDoesNotRebuildDerivedChis) {
   EXPECT_EQ(cache.size(), cached);
 }
 
-TEST_F(MaskAggExecTest, UnbatchedIoMatchesBatched) {
-  MaskAggQuery q = IntersectQuery(6);
-  EngineOptions batched;
-  EngineOptions unbatched;
-  unbatched.batch_io = false;
-  DerivedIndexCache c1(TestConfig()), c2(TestConfig());
-  auto a = ExecuteMaskAgg(*store_, index_.get(), &c1, q, batched);
-  auto b = ExecuteMaskAgg(*store_, index_.get(), &c2, q, unbatched);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->groups.size(), b->groups.size());
-  for (size_t i = 0; i < a->groups.size(); ++i) {
-    EXPECT_EQ(a->groups[i].group, b->groups[i].group);
-    EXPECT_DOUBLE_EQ(a->groups[i].value, b->groups[i].value);
+TEST_F(MaskAggExecTest, PipelineMatchesSerialSchedule) {
+  // Against the serial schedule (no pools), a pooled run with one group per
+  // batch takes every top-k decision on the same heap, and a HAVING-only
+  // query classifies every group before verification, so both must match
+  // it in results and in every stat — overlapped, aliased or not.
+  ThreadPool pool(3);
+  ThreadPool io_pool(2);
+  EngineOptions one_group;
+  one_group.pool = &pool;
+  one_group.agg_verify_batch = 1;
+  EngineOptions overlapped;
+  overlapped.pool = &pool;
+  overlapped.io_pool = &io_pool;
+  overlapped.agg_verify_batch = 4;
+  EngineOptions aliased = overlapped;
+  aliased.io_pool = &pool;
+  MaskAggQuery having = IntersectQuery(0);
+  having.k.reset();
+  having.having_op = CompareOp::kGt;
+  having.having_threshold = 50.0;
+  const std::pair<MaskAggQuery, EngineOptions> runs[] = {
+      {IntersectQuery(6), one_group},
+      {having, one_group},
+      {having, overlapped},
+      {having, aliased}};
+  for (const auto& [q, opts] : runs) {
+    DerivedIndexCache c1(TestConfig()), c2(TestConfig());
+    auto a = ExecuteMaskAgg(*store_, index_.get(), &c1, q);
+    auto b = ExecuteMaskAgg(*store_, index_.get(), &c2, q, opts);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    ASSERT_EQ(a->groups.size(), b->groups.size());
+    for (size_t i = 0; i < a->groups.size(); ++i) {
+      EXPECT_EQ(a->groups[i].group, b->groups[i].group);
+      EXPECT_DOUBLE_EQ(a->groups[i].value, b->groups[i].value);
+    }
+    EXPECT_EQ(a->stats.masks_loaded, b->stats.masks_loaded);
+    EXPECT_EQ(a->stats.bytes_read, b->stats.bytes_read);
+    EXPECT_EQ(a->stats.chis_built, b->stats.chis_built);
+    EXPECT_EQ(a->stats.pruned, b->stats.pruned);
+    EXPECT_EQ(a->stats.accepted_by_bounds, b->stats.accepted_by_bounds);
+    EXPECT_EQ(a->stats.candidates, b->stats.candidates);
   }
-  EXPECT_EQ(a->stats.masks_loaded, b->stats.masks_loaded);
+}
+
+TEST(MaskAggPipelineFailureTest, FailedLoadReturnsItsOwnStatus) {
+  // Mask 13 (image 6) is corrupt. With no CHIs no group is decided by
+  // bounds, so groups verify in key order, two per batch, and group 6's
+  // load fails in the fourth batch — under io_pool as a prefetch while
+  // batch three is verified. Both query shapes, under every schedule, must
+  // return the load's own Corruption and must not hang on in-flight loads.
+  TempDir dir("maskagg_corrupt");
+  auto store = testing_util::MakeStoreWithCorruptMask(dir.path(), 12, 13);
+  MaskAggQuery topk;
+  topk.op = MaskAggOp::kUnionThreshold;
+  topk.agg_threshold = 0.5;
+  topk.term.range = ValueRange(0.5, 1.0);
+  topk.group_key = GroupKey::kImageId;
+  topk.k = 3;
+  MaskAggQuery having = topk;
+  having.k.reset();
+  having.having_op = CompareOp::kGt;
+  having.having_threshold = 10.0;
+  ThreadPool pool(3);
+  ThreadPool io_pool(2);
+  const std::pair<ThreadPool*, ThreadPool*> schedules[] = {
+      {nullptr, nullptr}, {&pool, nullptr}, {nullptr, &io_pool},
+      {&pool, &io_pool},  {&pool, &pool}};
+  for (const MaskAggQuery& q : {topk, having}) {
+    for (const auto& [compute, io] : schedules) {
+      EngineOptions opts;
+      opts.pool = compute;
+      opts.io_pool = io;
+      opts.agg_verify_batch = 2;
+      auto r = ExecuteMaskAgg(*store, nullptr, nullptr, q, opts);
+      ASSERT_TRUE(r.status().IsCorruption()) << r.status();
+      EXPECT_NE(r.status().message().find("mask 13"), std::string::npos)
+          << r.status();
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "masksearch/common/random.h"
+#include "masksearch/storage/codec.h"
 #include "masksearch/storage/mask.h"
 #include "masksearch/storage/mask_store.h"
 #include "masksearch/workload/synthetic.h"
@@ -96,6 +97,29 @@ inline std::unique_ptr<MaskStore> MakeStore(const std::string& dir,
       meta.object_box = box;
       writer->Append(meta, mask).ValueOrDie();
     }
+  }
+  writer->Finish().CheckOK();
+  return MaskStore::Open(dir).ValueOrDie();
+}
+
+/// Builds a compressed store of `num_images` images × 2 models of 12x10
+/// masks in which mask `bad` holds a valid 10x12 codec frame: every read of
+/// it fails with a Corruption naming "mask <bad>", every other mask loads.
+inline std::unique_ptr<MaskStore> MakeStoreWithCorruptMask(
+    const std::string& dir, int64_t num_images, MaskId bad) {
+  MaskStoreWriter::Options wopts;
+  wopts.kind = StorageKind::kCompressed;
+  auto writer = MaskStoreWriter::Create(dir, wopts).ValueOrDie();
+  Rng rng(23);
+  for (MaskId id = 0; id < num_images * 2; ++id) {
+    MaskMeta meta;
+    meta.image_id = id / 2;
+    meta.model_id = static_cast<ModelId>(id % 2);
+    meta.width = 12;
+    meta.height = 10;
+    const Mask m =
+        id == bad ? RandomMask(&rng, 10, 12) : RandomMask(&rng, 12, 10);
+    writer->AppendBlob(meta, EncodeMask(m)).ValueOrDie();
   }
   writer->Finish().CheckOK();
   return MaskStore::Open(dir).ValueOrDie();
