@@ -1,6 +1,9 @@
 #include "masksearch/cache/cached_mask_store.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -103,54 +106,57 @@ Result<std::vector<Mask>> CachedMaskStore::LoadMaskBatch(
   std::vector<Mask> out(ids.size());
   if (ids.empty()) return out;
   for (MaskId id : ids) MS_RETURN_NOT_OK(CheckId(id));
+  if (ids.size() == 1) {  // top-k verifies one mask per unit
+    MS_ASSIGN_OR_RETURN(BufferPool::Pin pin, PinMask(ids[0]));
+    out[0] = *static_cast<const Mask*>(pin.get());
+    return out;
+  }
 
-  // One pool access per distinct id: duplicates share the entry.
-  std::vector<MaskId> uniq;
-  std::vector<std::vector<size_t>> positions;  // uniq slot -> out indexes
-  std::unordered_map<MaskId, size_t> slot_of;
-  uniq.reserve(ids.size());
-  slot_of.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto [it, fresh] = slot_of.try_emplace(ids[i], uniq.size());
-    if (fresh) {
-      uniq.push_back(ids[i]);
-      positions.emplace_back();
+  // One pool access per distinct id: a duplicate shares the pin of the
+  // id's first occurrence, lead[i]. The executors pass increasing ids.
+  std::vector<size_t> lead(ids.size());
+  std::iota(lead.begin(), lead.end(), size_t{0});
+  if (std::adjacent_find(ids.begin(), ids.end(),
+                         std::greater_equal<MaskId>()) != ids.end()) {
+    std::unordered_map<MaskId, size_t> first;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      lead[i] = first.try_emplace(ids[i], i).first->second;
     }
-    positions[it->second].push_back(i);
   }
 
   // Pin hits up front so the miss-side inserts below can never evict a
   // member of this very batch before it is copied out.
-  std::vector<BufferPool::Pin> pins(uniq.size());
-  std::vector<MaskId> missing;
-  std::vector<size_t> missing_slot;
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    pins[u] = pool_->Lookup(KeyFor(uniq[u]));
-    if (pins[u]) {
+  std::vector<BufferPool::Pin> pins(ids.size());
+  std::vector<size_t> missing;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (lead[i] != i) continue;
+    pins[i] = pool_->Lookup(KeyFor(ids[i]));
+    if (pins[i]) {
       CountHit(hits_);
     } else {
       CountMiss(misses_);
-      missing.push_back(uniq[u]);
-      missing_slot.push_back(u);
+      missing.push_back(i);
     }
   }
 
   if (!missing.empty()) {
     MS_TRACE_SPAN("cache_miss_load");
     // One coalesced, shard-parallel inner batch for all misses.
+    std::vector<MaskId> missing_ids;
+    missing_ids.reserve(missing.size());
+    for (size_t i : missing) missing_ids.push_back(ids[i]);
     MS_ASSIGN_OR_RETURN(std::vector<Mask> loaded,
-                        inner_->LoadMaskBatch(missing));
+                        inner_->LoadMaskBatch(missing_ids));
     for (size_t j = 0; j < missing.size(); ++j) {
       auto value = std::make_shared<const Mask>(std::move(loaded[j]));
       const uint64_t bytes = ChargeFor(*value);
-      pins[missing_slot[j]] =
-          pool_->Insert(KeyFor(missing[j]), std::move(value), bytes);
+      pins[missing[j]] =
+          pool_->Insert(KeyFor(missing_ids[j]), std::move(value), bytes);
     }
   }
 
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    const Mask& mask = *static_cast<const Mask*>(pins[u].get());
-    for (size_t i : positions[u]) out[i] = mask;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    out[i] = *static_cast<const Mask*>(pins[lead[i]].get());
   }
   return out;  // pins released here, after every copy is made
 }

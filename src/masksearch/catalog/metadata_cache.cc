@@ -41,29 +41,17 @@ MetadataCache::MetadataCache(const MaskStore* store,
   options_.max_entries = std::max<size_t>(1, options_.max_entries);
 }
 
-uint64_t MetadataCache::WalkSelectionBytes(const Selection& sel) const {
-  uint64_t bytes = 0;
-  for (MaskId id = 0; id < store_->num_masks(); ++id) {
-    if (sel.Matches(store_->meta(id))) bytes += store_->BlobSize(id);
-  }
-  return bytes;
+uint64_t MetadataCache::EstimateSelectionBytes(const Selection& sel) {
+  // Only the metadata walk reaches the memo: mask-id selections are
+  // O(|ids|) and the unconstrained one is precomputed by the store.
+  return SelectionBytes(*store_, sel,
+                        [&](const std::function<uint64_t()>& walk) {
+                          return Memoized(sel, walk);
+                        });
 }
 
-uint64_t MetadataCache::EstimateSelectionBytes(const Selection& sel) {
-  // Mask-id selections are O(|ids|) exactly; never worth a cache entry.
-  if (!sel.mask_ids.empty()) {
-    uint64_t bytes = 0;
-    for (MaskId id : sel.mask_ids) {
-      if (id >= 0 && id < store_->num_masks()) bytes += store_->BlobSize(id);
-    }
-    return bytes;
-  }
-  // Unconstrained: the store keeps the dataset size precomputed.
-  if (sel.model_ids.empty() && sel.mask_types.empty() &&
-      sel.predicted_labels.empty()) {
-    return store_->TotalDataBytes();
-  }
-
+uint64_t MetadataCache::Memoized(const Selection& sel,
+                                 const std::function<uint64_t()>& walk) {
   const std::string key = SelectionKey(sel);
   const auto now = std::chrono::steady_clock::now();
   {
@@ -78,7 +66,7 @@ uint64_t MetadataCache::EstimateSelectionBytes(const Selection& sel) {
 
   // Miss: pay the walk outside the lock (concurrent misses of one key may
   // each walk once; all write the same value).
-  const uint64_t bytes = WalkSelectionBytes(sel);
+  const uint64_t bytes = walk();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++misses_;

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -73,8 +74,9 @@ class MetadataCache {
     std::chrono::steady_clock::time_point expires;
   };
 
-  /// The exact O(catalog) walk being memoized.
-  uint64_t WalkSelectionBytes(const Selection& sel) const;
+  /// `walk`'s result for `sel`, memoized under its canonical key.
+  uint64_t Memoized(const Selection& sel,
+                    const std::function<uint64_t()>& walk);
 
   const MaskStore* store_;
   MetadataCacheOptions options_;

@@ -79,13 +79,8 @@ ThreadPool* ThreadPool::Default() {
   return &pool;
 }
 
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || pool->num_threads() <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
+void ParallelForOnPool(ThreadPool* pool, size_t n,
+                       const std::function<void(size_t)>& fn) {
   // 4 chunks per worker balances skewed per-item costs (e.g. some masks
   // verified, most pruned) against scheduling overhead.
   const size_t num_chunks = std::min(n, pool->num_threads() * 4);

@@ -72,9 +72,17 @@ class ThreadPool {
 /// makes nested calls on the same pool deadlock-free: every loop's initiator
 /// can always drain its own chunks (the sharded batch loader runs inside
 /// prefetch tasks that way). With a null or single-threaded pool the loop
-/// runs inline.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
+/// runs inline, without wrapping `fn` in a std::function.
+void ParallelForOnPool(ThreadPool* pool, size_t n,
+                       const std::function<void(size_t)>& fn);
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ParallelForOnPool(pool, n, fn);
+}
 
 }  // namespace masksearch
 

@@ -5,6 +5,8 @@
 // pruned or accepted without loading any member mask. Only members of
 // surviving groups whose bounds are not tight are loaded — which is why Q4
 // loads fewer masks than Q1–Q3 in Table 2 despite targeting twice as many.
+// Groups run on exec/ranked.h; a group's load unit is those members, in
+// batches of at most EngineOptions::agg_verify_batch.
 
 #ifndef MASKSEARCH_EXEC_AGG_EXECUTOR_H_
 #define MASKSEARCH_EXEC_AGG_EXECUTOR_H_

@@ -1,5 +1,7 @@
-// Internal per-mask evaluation helpers shared by the executors.
-// Not part of the public API.
+// Internal per-mask helpers shared by the executors: CP bounds from a CHI,
+// exact CP values from a loaded mask, the CHI source for bounds and CHI
+// retention after a verification load (loads themselves go through
+// exec/verify_pipeline.h). Not part of the public API.
 
 #ifndef MASKSEARCH_EXEC_EVALUATOR_H_
 #define MASKSEARCH_EXEC_EVALUATOR_H_
@@ -84,19 +86,6 @@ inline int64_t RetainChiAfterLoad(IndexManager* index,
     return 1;
   }
   return 0;
-}
-
-/// \brief Loads a mask (counted in `stats`) and retains its CHI per
-/// RetainChiAfterLoad.
-inline Result<Mask> LoadForVerification(const MaskStore& store,
-                                        IndexManager* index,
-                                        const EngineOptions& opts, MaskId id,
-                                        ExecStats* stats) {
-  MS_ASSIGN_OR_RETURN(Mask mask, store.LoadMask(id));
-  stats->masks_loaded += 1;
-  stats->bytes_read += static_cast<int64_t>(store.BlobSize(id));
-  stats->chis_built += RetainChiAfterLoad(index, opts, id, mask);
-  return mask;
 }
 
 }  // namespace internal

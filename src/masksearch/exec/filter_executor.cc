@@ -72,11 +72,7 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
 
   // Verification: the undecided masks in batches of `batch`, each batch one
   // load unit (one coalesced LoadMaskBatch), evaluated across the pool.
-  const size_t batch =
-      opts.filter_verify_batch > 0
-          ? opts.filter_verify_batch
-          : std::max<size_t>(
-                64, opts.pool != nullptr ? opts.pool->num_threads() * 4 : 0);
+  const size_t batch = internal::FilterVerifyBatch(opts);
   size_t next = 0;
   internal::VerifyStages stages;
   stages.span = "filter_verify";

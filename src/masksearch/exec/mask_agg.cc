@@ -1,12 +1,11 @@
 #include "masksearch/exec/mask_agg.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <set>
 
 #include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
+#include "masksearch/exec/ranked.h"
 #include "masksearch/exec/verify_pipeline.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/kernels/agg_kernels.h"
@@ -16,17 +15,6 @@ namespace masksearch {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-struct Better {
-  bool descending;
-  bool operator()(const ScoredGroup& a, const ScoredGroup& b) const {
-    if (a.value != b.value) {
-      return descending ? a.value > b.value : a.value < b.value;
-    }
-    return a.group < b.group;
-  }
-};
 
 DerivedAggOp ToKernelOp(MaskAggOp op) {
   switch (op) {
@@ -200,195 +188,68 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
   AggResult result;
   result.stats.masks_targeted = static_cast<int64_t>(ids.size());
 
-  struct GroupState {
-    int64_t key;
-    const std::vector<MaskId>* members;
-    Interval bounds;
-  };
-  std::vector<GroupState> states;
-  states.reserve(groups.size());
-  for (const auto& [key, members] : groups) {
-    GroupState gs{key, &members, Interval{-kInf, kInf}};
+  // Index g aligns `keys`, `members` and `bounds`.
+  std::vector<int64_t> keys;
+  std::vector<const std::vector<MaskId>*> members;
+  std::vector<Interval> bounds;
+  for (const auto& [key, group] : groups) {
+    keys.push_back(key);
+    members.push_back(&group);
+    Interval b{-kInf, kInf};
     if (opts.use_index) {
       // Prefer the derived mask's own CHI; fall back to member-CHI bounds.
       const std::shared_ptr<const Chi> dchi =
           derived_cache != nullptr ? derived_cache->Get(key) : nullptr;
       if (dchi != nullptr) {
-        const ROI roi = ResolveRoi(query.term, store.meta(members.front()));
-        gs.bounds = Interval::FromBounds(
-            ComputeCpBounds(*dchi, roi, query.term.range));
+        const ROI roi = ResolveRoi(query.term, store.meta(group.front()));
+        b = Interval::FromBounds(ComputeCpBounds(*dchi, roi, query.term.range));
       } else {
-        gs.bounds = BoundsFromMembers(query, store, index, opts, members);
+        b = BoundsFromMembers(query, store, index, opts, group);
       }
     }
-    states.push_back(gs);
+    bounds.push_back(b);
   }
 
-  // Verification runs through the shared pipeline in bound-ordered batches
-  // of `batch` groups, each group one load unit.
-  const size_t batch =
-      opts.agg_verify_batch > 0
-          ? opts.agg_verify_batch
-          : (opts.pool != nullptr
-                 ? std::max<size_t>(1, opts.pool->num_threads() * 2)
-                 : 1);
-  auto Unit = [&](size_t i) {
-    return internal::VerifyUnit{i, *states[i].members};
-  };
-  // Compute stage: values[state index] = CP(derived, roi, range) exactly
-  // from the loaded members. When the derived CHI is wanted but missing, the
-  // derived mask is materialized (it is needed for the CHI build anyway) and
-  // registered; otherwise the fused count kernel answers without
-  // materializing it. Distinct groups run concurrently.
-  std::vector<double> values(states.size(), 0.0);
-  internal::VerifyStages stages;
+  // Verification: a group's unit is its members. When the derived CHI is
+  // wanted but missing, the derived mask is materialized (it is needed for
+  // the CHI build anyway) and registered; otherwise the fused count kernel
+  // answers without materializing it.
+  internal::RankedStages stages;
+  stages.k = query.k;
+  stages.descending = query.descending;
+  stages.having_op = query.having_op;
+  stages.having_threshold = query.having_threshold;
+  stages.batch = internal::AggVerifyBatch(opts);
+  stages.speculative = true;
   stages.span = "agg_verify";
-  stages.verify = [&](const internal::VerifyUnit& unit,
-                      std::vector<Mask>& masks, ThreadPool*,
-                      ExecStats* stats) -> Status {
+  stages.unit = [&](size_t g) { return *members[g]; };
+  stages.exact = [&](size_t g, std::vector<Mask>& masks, ThreadPool*,
+                     ExecStats* stats) -> Result<double> {
     MS_RETURN_NOT_OK(CheckSameShape(masks));
-    const GroupState& gs = states[unit.tag];
-    const ROI roi = ResolveRoi(query.term, store.meta(gs.members->front()));
+    const ROI roi = ResolveRoi(query.term, store.meta(members[g]->front()));
     if (derived_cache != nullptr && opts.use_index &&
-        derived_cache->Get(gs.key) == nullptr) {
+        derived_cache->Get(keys[g]) == nullptr) {
       // §3.4 treats aggregated masks as "new masks" indexed ahead of time
       // or on first use; skip the build when the key is already cached.
       MS_ASSIGN_OR_RETURN(
           Mask derived,
           ComputeDerivedMask(query.op, query.agg_threshold, masks));
-      values[unit.tag] =
-          static_cast<double>(CountPixels(derived, roi, query.term.range));
-      derived_cache->Put(gs.key, BuildChi(derived, derived_cache->config()));
+      derived_cache->Put(keys[g], BuildChi(derived, derived_cache->config()));
       stats->chis_built += 1;
-      return Status::OK();
+      return static_cast<double>(CountPixels(derived, roi, query.term.range));
     }
     const std::vector<const float*> ptrs = MaskPointers(masks);
-    values[unit.tag] = static_cast<double>(DerivedCpCount(
+    return static_cast<double>(DerivedCpCount(
         ToKernelOp(query.op), static_cast<float>(query.agg_threshold),
         DerivedMaskOne(), ptrs.data(), ptrs.size(), masks[0].width(),
         masks[0].height(), roi, query.term.range));
-    return Status::OK();
   };
-
-  if (!query.k.has_value()) {
-    // HAVING-only: per-group decisions are independent, so classify every
-    // group first, verify the undecidable ones, and fold in group-key order
-    // — byte-identical to the serial schedule.
-    enum class Kind : uint8_t { kPruned, kAccepted, kVerify };
-    std::vector<Kind> kind(states.size(), Kind::kPruned);
-    std::vector<size_t> verify_idx;
-    for (size_t i = 0; i < states.size(); ++i) {
-      const Tri t = CompareBounds(states[i].bounds, *query.having_op,
-                                  query.having_threshold);
-      if (t == Tri::kFalse) {
-        ++result.stats.pruned;
-      } else if (t == Tri::kTrue) {
-        kind[i] = Kind::kAccepted;
-        ++result.stats.accepted_by_bounds;
-      } else {
-        kind[i] = Kind::kVerify;
-        ++result.stats.candidates;
-        verify_idx.push_back(i);
-      }
-    }
-    size_t next = 0;
-    stages.form = [&] {
-      std::vector<internal::VerifyUnit> units;
-      for (; next < verify_idx.size() && units.size() < batch; ++next) {
-        units.push_back(Unit(verify_idx[next]));
-      }
-      return units;
-    };
-    MS_RETURN_NOT_OK(internal::RunVerifyPipeline(store, index, opts, stages,
-                                                 &result.stats));
-    for (size_t i = 0; i < states.size(); ++i) {
-      if (kind[i] == Kind::kAccepted) {
-        result.groups.push_back(ScoredGroup{
-            states[i].key, states[i].bounds.Tight() ? states[i].bounds.lo
-                                                    : kNaN});
-      } else if (kind[i] == Kind::kVerify &&
-                 CompareExact(values[i], *query.having_op,
-                              query.having_threshold)) {
-        result.groups.push_back(ScoredGroup{states[i].key, values[i]});
-      }
-    }
-    result.stats.seconds = timer.ElapsedSeconds();
-    return result;
+  MS_ASSIGN_OR_RETURN(std::vector<internal::Ranked> ranked,
+                      internal::RunRanked(store, index, opts, stages, keys,
+                                          bounds, &result.stats));
+  for (const internal::Ranked& r : ranked) {
+    result.groups.push_back(ScoredGroup{r.key, r.value});
   }
-
-  const Better better{query.descending};
-  std::set<ScoredGroup, Better> heap(better);
-
-  std::vector<size_t> order(states.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (opts.sort_by_bound) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const double oa = query.descending ? states[a].bounds.hi : -states[a].bounds.lo;
-      const double ob = query.descending ? states[b].bounds.hi : -states[b].bounds.lo;
-      if (oa != ob) return oa > ob;
-      return states[a].key < states[b].key;
-    });
-  }
-
-  // Top-k: walk groups in bound order, pruning against the running top-k,
-  // and verify survivors in batches. The top-k set is order-independent
-  // under the Better total order, and exact values never exceed their
-  // bounds, so batching and the pipeline's formation-ahead only relax
-  // pruning conservatively (decisions are made against the heap as of batch
-  // formation): results are byte-identical to the serial schedule (batch 1,
-  // no pools), which this loop degenerates to exactly.
-  auto Fold = [&](int64_t key, double value) {
-    if (query.having_op.has_value() &&
-        !CompareExact(value, *query.having_op, query.having_threshold)) {
-      return;
-    }
-    const ScoredGroup cand{key, value};
-    if (heap.size() < *query.k) {
-      heap.insert(cand);
-    } else if (better(cand, *heap.rbegin())) {
-      heap.erase(std::prev(heap.end()));
-      heap.insert(cand);
-    }
-  };
-
-  // Forms the next verification batch: advances the cursor through the
-  // bound order, folding bound-decided groups and pruning against the
-  // current heap, until `batch` undecidable groups are collected.
-  size_t cursor = 0;
-  stages.form = [&] {
-    std::vector<internal::VerifyUnit> pending;
-    while (cursor < order.size() && pending.size() < batch) {
-      const size_t oi = order[cursor++];
-      const GroupState& gs = states[oi];
-      if (query.having_op.has_value() &&
-          CompareBounds(gs.bounds, *query.having_op, query.having_threshold) ==
-              Tri::kFalse) {
-        ++result.stats.pruned;
-        continue;
-      }
-      const double optimistic = query.descending ? gs.bounds.hi : gs.bounds.lo;
-      if (heap.size() >= *query.k &&
-          !better(ScoredGroup{gs.key, optimistic}, *heap.rbegin())) {
-        ++result.stats.pruned;
-        continue;
-      }
-      if (gs.bounds.Tight() && std::isfinite(gs.bounds.lo)) {
-        ++result.stats.accepted_by_bounds;
-        Fold(gs.key, gs.bounds.lo);
-        continue;
-      }
-      ++result.stats.candidates;
-      pending.push_back(Unit(oi));
-    }
-    return pending;
-  };
-  stages.fold = [&](const internal::VerifyUnit& unit) {
-    Fold(states[unit.tag].key, values[unit.tag]);
-  };
-  MS_RETURN_NOT_OK(
-      internal::RunVerifyPipeline(store, index, opts, stages, &result.stats));
-
-  result.groups.assign(heap.begin(), heap.end());
   result.stats.seconds = timer.ElapsedSeconds();
   return result;
 }

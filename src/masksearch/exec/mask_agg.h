@@ -77,9 +77,10 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
 /// loading its members). `index` supplies individual-mask CHIs for the
 /// monotone-aggregation bounds.
 ///
-/// Verification is batched, parallel, and (optionally) overlapped through
-/// the shared pipeline of exec/verify_pipeline.h: undecidable groups are
-/// verified across opts.pool in bound-ordered batches
+/// Groups run on exec/ranked.h. Verification is batched, parallel, and
+/// (optionally) overlapped through the shared pipeline of
+/// exec/verify_pipeline.h: undecidable groups are verified across opts.pool
+/// in bound-ordered batches
 /// (EngineOptions::agg_verify_batch), each group's members read by one
 /// MaskStore::LoadMaskBatch. With EngineOptions::io_pool set the pipeline is
 /// double-buffered: while batch k is being verified, the member loads of

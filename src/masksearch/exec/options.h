@@ -15,12 +15,11 @@ class ChiCache;
 
 /// \brief Per-request cancellation + deadline state (docs/SERVING.md).
 ///
-/// Executors poll Check() at batch boundaries — between verification
-/// batches of the filter / mask-agg pipeline, between groups or
-/// heap updates of the scalar executors — and abort with a typed
-/// DeadlineExceeded / Cancelled status. Polling at batch granularity keeps
-/// the hot per-pixel loops branch-free: a request overruns its deadline by
-/// at most one batch of work. One QueryControl belongs to one request; it
+/// Executors poll Check() at batch boundaries — between the verification
+/// batches of the pipeline all four executors share — and abort with a
+/// typed DeadlineExceeded / Cancelled status. Polling at batch granularity
+/// keeps the hot per-pixel loops branch-free: a request overruns its
+/// deadline by at most one batch of work. One QueryControl belongs to one request; it
 /// may be Cancel()ed from any thread while the request executes.
 struct QueryControl {
   /// Absolute expiry; time_point::max() = no deadline.
@@ -72,35 +71,40 @@ struct EngineOptions {
   /// order. The ablation bench quantifies the difference.
   bool sort_by_bound = true;
 
-  /// Group-verification batch size for ExecuteMaskAgg: undecidable groups
-  /// are verified across `pool` in bound-ordered batches of this size, each
-  /// group's members read by one MaskStore::LoadMaskBatch. 0 = auto (2 ×
-  /// pool threads; 1 — the exact serial schedule — when pool is null).
-  /// Batching only relaxes pruning conservatively: results are identical to
-  /// the serial schedule, a few extra groups may be verified.
+  /// Group-verification batch size for ExecuteMaskAgg and
+  /// ExecuteAggregation: undecidable groups are verified across `pool` in
+  /// bound-ordered batches of at most this size, each group's members read
+  /// by one MaskStore::LoadMaskBatch. 0 = auto (2 × pool threads; 1 — the
+  /// exact serial schedule — when pool is null). Results never depend on
+  /// it; a mask-agg top-k may verify a few extra groups with batches > 1,
+  /// while a scalar top-k only batches groups its serial scan verifies.
   size_t agg_verify_batch = 0;
 
   /// Mask batch size for filter verification: the masks the bounds leave
   /// undecided are read in batches of this size, one coalesced
   /// MaskStore::LoadMaskBatch each, and evaluated across `pool`. 0 = auto
-  /// (64, or 4 × pool threads if larger).
+  /// (64, or 4 × pool threads if larger). Also caps how many single-mask
+  /// units ExecuteTopK verifies per batch while its heap is filling.
   size_t filter_verify_batch = 0;
 
   /// I/O pool for the overlapped verification pipeline
-  /// (exec/verify_pipeline.h; filter and mask-agg verification): while batch
-  /// k is being verified on `pool`, batch k+1's loads are already in flight
-  /// on this pool (double buffering). Null = every load runs inside the
-  /// verify stage, one batch at a time. May alias `pool`; ParallelFor's
-  /// caller participation keeps nested use deadlock-free. Results stay
-  /// byte-identical: prefetching only makes pruning decisions on a slightly
-  /// staler top-k heap, which is strictly conservative.
+  /// (exec/verify_pipeline.h): while batch k is being verified on `pool`,
+  /// batch k+1's loads are already in flight on this pool (double
+  /// buffering). Used by the filter, mask-agg and HAVING-only scalar
+  /// aggregation; ExecuteTopK and a scalar top-k decide each mask or group
+  /// against the heap the previous one left, so they ignore it. Null =
+  /// every load runs inside the verify stage, one batch at a time. May
+  /// alias `pool`; ParallelFor's caller participation keeps nested use
+  /// deadlock-free. Results stay byte-identical: prefetching only makes
+  /// pruning decisions on a slightly staler top-k heap, which is strictly
+  /// conservative.
   ThreadPool* io_pool = nullptr;
 
   /// Capacity-bounded individual-mask CHI cache (docs/CACHING.md). When
-  /// set, the filter stages of ExecuteFilter / ExecuteTopK / ExecuteMaskAgg
-  /// fall back to it for bounds when the IndexManager has no CHI, and
-  /// verification retains a loaded mask's CHI here when incremental
-  /// indexing (build_missing) is off — bounded incremental indexing.
+  /// set, the filter stages of all four executors fall back to it for
+  /// bounds when the IndexManager has no CHI, and verification retains a
+  /// loaded mask's CHI here when incremental indexing (build_missing) is
+  /// off — bounded incremental indexing.
   /// Bounds stay sound regardless of evictions, so query results are
   /// byte-identical with or without the cache; only pruning stats and I/O
   /// counts improve. Null = no bounded CHI cache. Typically owned by the

@@ -45,6 +45,28 @@ std::vector<MaskId> ResolveSelection(const MaskStore& store,
   return ids;
 }
 
+uint64_t SelectionBytes(const MaskStore& store, const Selection& sel,
+                        const SelectionWalkMemo& memo) {
+  uint64_t bytes = 0;
+  if (!sel.mask_ids.empty()) {
+    for (MaskId id : sel.mask_ids) {
+      if (id >= 0 && id < store.num_masks()) bytes += store.BlobSize(id);
+    }
+    return bytes;
+  }
+  if (sel.model_ids.empty() && sel.mask_types.empty() &&
+      sel.predicted_labels.empty()) {
+    return store.TotalDataBytes();
+  }
+  auto walk = [&] {
+    for (MaskId id = 0; id < store.num_masks(); ++id) {
+      if (sel.Matches(store.meta(id))) bytes += store.BlobSize(id);
+    }
+    return bytes;
+  };
+  return memo ? memo(walk) : walk();
+}
+
 ExecStats& ExecStats::operator+=(const ExecStats& o) {
   masks_targeted += o.masks_targeted;
   pruned += o.pruned;

@@ -8,6 +8,7 @@
 #define MASKSEARCH_EXEC_QUERY_SPEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,6 +43,17 @@ struct Selection {
 std::vector<MaskId> ResolveSelection(const MaskStore& store,
                                      const Selection& sel);
 
+/// \brief Bytes of every blob `sel` targets, from the catalog alone: an
+/// upper bound on what verification could read (admission cost). Mask-id
+/// selections sum their in-range ids and the unconstrained selection is the
+/// store's precomputed TotalDataBytes(); a metadata-constrained selection
+/// is an O(catalog) walk, handed to `memo` when one is given (MetadataCache
+/// memoizes it) and run directly otherwise.
+using SelectionWalkMemo =
+    std::function<uint64_t(const std::function<uint64_t()>& walk)>;
+uint64_t SelectionBytes(const MaskStore& store, const Selection& sel,
+                        const SelectionWalkMemo& memo = nullptr);
+
 /// \brief Per-query execution statistics (Table 2, §4.4).
 struct ExecStats {
   int64_t masks_targeted = 0;
@@ -58,7 +70,9 @@ struct ExecStats {
   /// would fetch was already resident in the buffer pool — the cache-aware
   /// prefetch of docs/CACHING.md. One count per avoided load task, which is
   /// the pipeline's load unit: a whole verification batch in the filter,
-  /// one group's members in mask-agg. Skipped loads are served from memory
+  /// one group's members in mask-agg, a group's non-tight members in
+  /// HAVING-only scalar aggregation (ExecuteTopK and a scalar top-k never
+  /// prefetch). Skipped loads are served from memory
   /// at verify time without touching the io_pool or the disk.
   int64_t prefetch_skipped = 0;
   double seconds = 0.0;

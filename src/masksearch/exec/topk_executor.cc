@@ -1,33 +1,14 @@
 #include "masksearch/exec/topk_executor.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
-#include <set>
 
 #include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
+#include "masksearch/exec/ranked.h"
+#include "masksearch/exec/verify_pipeline.h"
 #include "masksearch/obs/trace.h"
 
 namespace masksearch {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Total order over results: best first. DESC ranks larger values first;
-/// ties always break toward the smaller mask_id.
-struct Better {
-  bool descending;
-  bool operator()(const ScoredMask& a, const ScoredMask& b) const {
-    if (a.value != b.value) {
-      return descending ? a.value > b.value : a.value < b.value;
-    }
-    return a.mask_id < b.mask_id;
-  }
-};
-
-}  // namespace
 
 Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
                                const TopKQuery& query,
@@ -47,7 +28,6 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
 
   Stopwatch timer;
   const std::vector<MaskId> ids = ResolveSelection(store, query.selection);
-  const Better better{query.descending};
 
   TopKResult result;
   result.stats.masks_targeted = static_cast<int64_t>(ids.size());
@@ -55,6 +35,7 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
   // Pass 1 (filter-side): compute the order-expression interval of every
   // indexed mask in parallel, falling back to the bounded chi_cache when
   // the IndexManager has no CHI. Masks without either get (-inf, +inf).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<Interval> intervals(ids.size(), Interval{-kInf, kInf});
   if (opts.use_index && (index != nullptr || opts.chi_cache != nullptr)) {
     MS_TRACE_SPAN("topk_bounds");
@@ -68,66 +49,24 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
     });
   }
 
-  // Processing order: the paper processes masks sequentially; sorting by the
-  // optimistic end of the interval tightens the running threshold faster.
-  std::vector<size_t> order(ids.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (opts.sort_by_bound) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const double oa = query.descending ? intervals[a].hi : -intervals[a].lo;
-      const double ob = query.descending ? intervals[b].hi : -intervals[b].lo;
-      if (oa != ob) return oa > ob;
-      return ids[a] < ids[b];
-    });
+  // Pass 2: the running top-k scan (Eq. 15); a mask is one load unit.
+  internal::RankedStages stages;
+  stages.k = query.k;
+  stages.descending = query.descending;
+  stages.batch = internal::FilterVerifyBatch(opts);
+  stages.span = "topk_verify";
+  stages.unit = [&](size_t i) { return std::vector<MaskId>{ids[i]}; };
+  stages.exact = [&](size_t i, std::vector<Mask>& masks, ThreadPool*,
+                     ExecStats*) -> Result<double> {
+    return query.order_expr.EvalExact(
+        internal::TermExactFromMask(masks[0], store.meta(ids[i]), query.terms));
+  };
+  MS_ASSIGN_OR_RETURN(std::vector<internal::Ranked> ranked,
+                      internal::RunRanked(store, index, opts, stages, ids,
+                                          intervals, &result.stats));
+  for (const internal::Ranked& r : ranked) {
+    result.items.push_back(ScoredMask{r.key, r.value});
   }
-
-  // Pass 2: sequential scan maintaining the running top-k set R (Eq. 15).
-  MS_TRACE_SPAN("topk_scan");
-  std::set<ScoredMask, Better> heap(better);
-  for (size_t oi = 0; oi < order.size(); ++oi) {
-    // This executor has no batches; a stride of masks is its boundary for
-    // deadline/cancel checks (prunes are branch-only, loads dominate).
-    if ((oi & 31) == 0) MS_RETURN_NOT_OK(CheckControl(opts.control));
-    const size_t i = order[oi];
-    const MaskId id = ids[i];
-    const Interval& iv = intervals[i];
-    const double optimistic = query.descending ? iv.hi : iv.lo;
-
-    if (heap.size() >= query.k) {
-      const ScoredMask& worst = *heap.rbegin();
-      // Prune iff even the optimistic value cannot outrank the k-th result.
-      if (!better(ScoredMask{id, optimistic}, worst)) {
-        ++result.stats.pruned;
-        continue;
-      }
-    }
-
-    double value;
-    if (iv.Tight() && std::isfinite(iv.lo)) {
-      // Bounds pin the exact value: no disk access needed.
-      value = iv.lo;
-      ++result.stats.accepted_by_bounds;
-    } else {
-      ++result.stats.candidates;
-      MS_ASSIGN_OR_RETURN(
-          Mask mask, internal::LoadForVerification(
-                         store, opts.use_index ? index : nullptr, opts, id,
-                         &result.stats));
-      const std::vector<double> exact =
-          internal::TermExactFromMask(mask, store.meta(id), query.terms);
-      value = query.order_expr.EvalExact(exact);
-    }
-
-    const ScoredMask cand{id, value};
-    if (heap.size() < query.k) {
-      heap.insert(cand);
-    } else if (better(cand, *heap.rbegin())) {
-      heap.erase(std::prev(heap.end()));
-      heap.insert(cand);
-    }
-  }
-
-  result.items.assign(heap.begin(), heap.end());
   result.stats.seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -2,6 +2,8 @@
 // the running top-k set R. A mask is pruned when its bound proves it cannot
 // beat the current k-th result (Eq. 15); otherwise its exact value is
 // obtained — from its bounds when they are tight, else by loading the mask.
+// The scan runs on exec/ranked.h, one mask per item and load unit, in
+// batches of at most EngineOptions::filter_verify_batch; io_pool is unused.
 //
 // Determinism: results are totally ordered by (value, tie-break mask_id
 // ascending); pruning respects the same order, so the returned set equals

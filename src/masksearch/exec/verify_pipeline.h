@@ -1,12 +1,13 @@
 // The verification half of filter–verification execution (§3.2), shared by
-// ExecuteFilter and ExecuteMaskAgg. Internal; not part of the public API.
+// all four executors (top-k and the aggregations through exec/ranked.h).
+// Internal; not part of the public API.
 //
 // The caller forms verification batches from its filter-stage state; each
 // batch is a list of load units, and a unit is the set of masks fetched by
 // one MaskStore::LoadMaskBatch — a whole batch of undecided masks in the
-// filter, one group's members in mask aggregation. Unit granularity fixes
-// the request pattern to the (modeled) disk; the pipeline never splits or
-// merges units.
+// filter, one mask in top-k, one group's (non-tight) members in the
+// aggregations. Unit granularity fixes the request pattern to the (modeled)
+// disk; the pipeline never splits or merges units.
 //
 // With EngineOptions::io_pool set, a unit's load is submitted to io_pool as
 // soon as its batch is formed and two batches are in flight: batch k is
@@ -26,6 +27,7 @@
 #ifndef MASKSEARCH_EXEC_VERIFY_PIPELINE_H_
 #define MASKSEARCH_EXEC_VERIFY_PIPELINE_H_
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -59,6 +61,19 @@ struct VerifyStages {
   /// Trace span around each batch's verification.
   const char* span = "verify";
 };
+
+/// \brief Verification batch sizes (EngineOptions::filter_verify_batch /
+/// agg_verify_batch), with 0 resolved to their documented auto values.
+inline size_t FilterVerifyBatch(const EngineOptions& opts) {
+  const size_t threads = opts.pool != nullptr ? opts.pool->num_threads() : 0;
+  return opts.filter_verify_batch > 0 ? opts.filter_verify_batch
+                                      : std::max<size_t>(64, threads * 4);
+}
+inline size_t AggVerifyBatch(const EngineOptions& opts) {
+  const size_t threads = opts.pool != nullptr ? opts.pool->num_threads() : 0;
+  return opts.agg_verify_batch > 0 ? opts.agg_verify_batch
+                                   : std::max<size_t>(1, threads * 2);
+}
 
 /// \brief Runs every batch `stages.form` yields through loading and
 /// verification. Polls EngineOptions::control at each batch boundary, so a

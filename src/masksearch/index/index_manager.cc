@@ -1,5 +1,7 @@
 #include "masksearch/index/index_manager.h"
 
+#include <mutex>
+
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/index/chi_store.h"
 
@@ -41,19 +43,24 @@ Status IndexManager::BuildAll(const MaskStore& store, ThreadPool* pool) {
                                    " masks, index manager sized for " +
                                    std::to_string(num_masks()));
   }
+  // The first failing load's own status (e.g. a Corruption naming the
+  // mask) is returned; later masks are skipped once one has failed.
   std::atomic<bool> failed{false};
+  std::mutex mu;
+  Status first_error;
   ParallelFor(pool, static_cast<size_t>(n), [&](size_t i) {
     if (failed.load(std::memory_order_relaxed)) return;
     if (Has(static_cast<MaskId>(i))) return;
     auto mask = store.LoadMask(static_cast<MaskId>(i));
     if (!mask.ok()) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (first_error.ok()) first_error = mask.status();
       failed.store(true, std::memory_order_relaxed);
       return;
     }
     BuildAndPut(static_cast<MaskId>(i), *mask);
   });
-  if (failed.load()) return Status::IOError("failed to load a mask during BuildAll");
-  return Status::OK();
+  return first_error;
 }
 
 size_t IndexManager::MemoryBytes() const {

@@ -62,7 +62,8 @@ class IndexManager {
 
   /// \brief Bulk preprocessing: builds the CHI of every mask in `store`
   /// (loading each mask once). The vanilla-MaskSearch start-up cost whose
-  /// amortization Figure 11 studies.
+  /// amortization Figure 11 studies. A failed load returns that load's own
+  /// status.
   Status BuildAll(const MaskStore& store, ThreadPool* pool = nullptr);
 
   /// \brief Number of CHIs currently built.

@@ -127,29 +127,7 @@ uint64_t QueryService::EstimateCostBytes(const ServiceRequest& request,
                                          const Session& session) const {
   if (request.cost_bytes_hint > 0) return request.cost_bytes_hint;
   if (options_.cost_estimator) return options_.cost_estimator(request);
-  // Catalog-only estimate: the bytes of every targeted blob — an upper
-  // bound on what verification could read (pruning only shrinks it). Never
-  // touches the data files.
-  const MaskStore& store = session.store();
-  const Selection& sel = request.query.selection();
-  uint64_t bytes = 0;
-  if (!sel.mask_ids.empty()) {
-    for (MaskId id : sel.mask_ids) {
-      if (id >= 0 && id < store.num_masks()) bytes += store.BlobSize(id);
-    }
-    return bytes;
-  }
-  // Unconstrained selection (the common "whole view" query): the answer is
-  // the cached dataset size — keep the admission path O(1) rather than a
-  // per-Submit catalog walk.
-  if (sel.model_ids.empty() && sel.mask_types.empty() &&
-      sel.predicted_labels.empty()) {
-    return store.TotalDataBytes();
-  }
-  for (MaskId id = 0; id < store.num_masks(); ++id) {
-    if (sel.Matches(store.meta(id))) bytes += store.BlobSize(id);
-  }
-  return bytes;
+  return SelectionBytes(session.store(), request.query.selection());
 }
 
 Result<std::shared_ptr<PendingQuery>> QueryService::Submit(

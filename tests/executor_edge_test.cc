@@ -196,5 +196,113 @@ TEST_F(ExecutorEdgeTest, MixedTightAndLooseTermsInOneExpression) {
   }
 }
 
+/// Forwards every virtual of MaskStore to `inner`; the first load cancels
+/// `control`, and every load adds its mask count to masks().
+class CancelOnFirstLoad final : public MaskStore {
+ public:
+  CancelOnFirstLoad(const MaskStore* inner, QueryControl* control)
+      : MaskStore(inner->dir(), inner->options(), inner->kind(), {}, {}),
+        inner_(inner),
+        control_(control) {}
+
+  int64_t num_masks() const override { return inner_->num_masks(); }
+  int32_t num_shards() const override { return inner_->num_shards(); }
+  const MaskMeta& meta(MaskId id) const override { return inner_->meta(id); }
+  const std::vector<MaskMeta>& metas() const override {
+    return inner_->metas();
+  }
+  uint64_t BlobSize(MaskId id) const override { return inner_->BlobSize(id); }
+  uint64_t TotalDataBytes() const override { return inner_->TotalDataBytes(); }
+
+  Result<Mask> LoadMask(MaskId id) const override {
+    Note(1);
+    return inner_->LoadMask(id);
+  }
+  Result<std::vector<Mask>> LoadMaskBatch(
+      const std::vector<MaskId>& ids) const override {
+    Note(ids.size());
+    return inner_->LoadMaskBatch(ids);
+  }
+  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override {
+    Note(1);
+    return inner_->LoadMaskRows(id, y0, y1);
+  }
+  Status ReadBlob(MaskId id, std::string* out) const override {
+    return inner_->ReadBlob(id, out);
+  }
+
+  size_t masks() const { return masks_.load(); }
+  void Reset() {
+    masks_ = 0;
+    control_->cancelled = false;
+  }
+
+ private:
+  void Note(size_t n) const {
+    masks_.fetch_add(n);
+    control_->Cancel();
+  }
+
+  const MaskStore* inner_;
+  QueryControl* control_;
+  mutable std::atomic<size_t> masks_{0};
+};
+
+TEST(ExecutorCancelTest, CancelInsideTheFirstLoadStopsAfterItsBatch) {
+  // No index, so every mask (or group) needs a load. The first load
+  // cancels the request; each executor must return Cancelled once the
+  // batch in flight is done: the filter's four masks, top-k's first three
+  // units (one mask each, until its heap of 3 is full) and the
+  // aggregations' two groups of two masks — twice that with io_pool, which
+  // prefetches one batch ahead (top-k and scalar top-k never prefetch).
+  TempDir dir("cancel");
+  auto inner = MakeStore(dir.path(), 20, 2, 32, 32);
+  QueryControl control;
+  CancelOnFirstLoad store(inner.get(), &control);
+  CpTerm term;
+  term.range = ValueRange(0.5, 1.0);
+  FilterQuery filter;
+  filter.terms = {term};
+  filter.predicate = Predicate::Compare(CpExpr::Term(0), CompareOp::kGt, 0.0);
+  TopKQuery topk;
+  topk.terms = {term};
+  topk.order_expr = CpExpr::Term(0);
+  topk.k = 3;
+  AggregationQuery agg;
+  agg.term = term;
+  agg.k = 3;
+  MaskAggQuery mask_agg;
+  mask_agg.term = term;
+  mask_agg.k = 3;
+  ThreadPool pool(3);
+  ThreadPool io_pool(2);
+  const std::pair<ThreadPool*, ThreadPool*> schedules[] = {
+      {nullptr, nullptr}, {&pool, &io_pool}};
+  for (const auto& [compute, io] : schedules) {
+    EngineOptions opts;
+    opts.pool = compute;
+    opts.io_pool = io;
+    opts.control = &control;
+    opts.filter_verify_batch = 4;
+    opts.agg_verify_batch = 2;
+    const size_t depth = io != nullptr ? 2 : 1;
+    const std::function<Status()> runs[] = {
+        [&] { return ExecuteFilter(store, nullptr, filter, opts).status(); },
+        [&] { return ExecuteTopK(store, nullptr, topk, opts).status(); },
+        [&] { return ExecuteAggregation(store, nullptr, agg, opts).status(); },
+        [&] {
+          return ExecuteMaskAgg(store, nullptr, nullptr, mask_agg, opts)
+              .status();
+        }};
+    const size_t most[] = {4 * depth, 3, 4, 4 * depth};
+    for (size_t e = 0; e < 4; ++e) {
+      store.Reset();
+      const Status st = runs[e]();
+      EXPECT_TRUE(st.IsCancelled()) << "executor " << e << ": " << st;
+      EXPECT_LE(store.masks(), most[e]) << "executor " << e;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace masksearch

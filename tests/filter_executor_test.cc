@@ -5,6 +5,7 @@
 
 #include "masksearch/baselines/full_scan.h"
 #include "masksearch/exec/filter_executor.h"
+#include "masksearch/exec/topk_executor.h"
 #include "masksearch/storage/sharded_mask_store.h"
 #include "masksearch/workload/query_gen.h"
 #include "test_util.h"
@@ -248,15 +249,21 @@ TEST_F(FilterExecutorTest, PipelinedVerificationMatchesSerial) {
 TEST(FilterPipelineFailureTest, FailedLoadReturnsItsOwnStatus) {
   // Mask 13 is corrupt. With no index every mask is verified, four per
   // batch, so its load fails in the fourth of six batches — under io_pool
-  // as a prefetch while batch three is verified. Every schedule must return
-  // the load's own Corruption (not a generic I/O error) and must not hang
-  // on the loads still in flight.
+  // as a prefetch while batch three is verified. Top-k (k above the mask
+  // count, so its heap never fills) verifies one mask per unit, four units
+  // per batch, and reaches mask 13 in its fourth batch too. Every schedule
+  // must return the load's own Corruption (not a generic I/O error) and
+  // must not hang on the loads still in flight.
   TempDir dir("filter_corrupt");
   auto store = testing_util::MakeStoreWithCorruptMask(dir.path(), 12, 13);
   FilterQuery q;
   q.terms.emplace_back();
   q.terms[0].range = ValueRange(0.5, 1.0);
   q.predicate = Predicate::Compare(CpExpr::Term(0), CompareOp::kGt, 10.0);
+  TopKQuery topk;
+  topk.terms = q.terms;
+  topk.order_expr = CpExpr::Term(0);
+  topk.k = 30;
   ThreadPool pool(3);
   ThreadPool io_pool(2);
   const std::pair<ThreadPool*, ThreadPool*> schedules[] = {
@@ -267,10 +274,12 @@ TEST(FilterPipelineFailureTest, FailedLoadReturnsItsOwnStatus) {
     opts.pool = compute;
     opts.io_pool = io;
     opts.filter_verify_batch = 4;
-    auto r = ExecuteFilter(*store, nullptr, q, opts);
-    ASSERT_TRUE(r.status().IsCorruption()) << r.status();
-    EXPECT_NE(r.status().message().find("mask 13"), std::string::npos)
-        << r.status();
+    for (const Status& st :
+         {ExecuteFilter(*store, nullptr, q, opts).status(),
+          ExecuteTopK(*store, nullptr, topk, opts).status()}) {
+      ASSERT_TRUE(st.IsCorruption()) << st;
+      EXPECT_NE(st.message().find("mask 13"), std::string::npos) << st;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "masksearch/baselines/full_scan.h"
+#include "masksearch/exec/agg_executor.h"
 #include "masksearch/exec/mask_agg.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/storage/sharded_mask_store.h"
@@ -445,8 +446,11 @@ TEST(MaskAggPipelineFailureTest, FailedLoadReturnsItsOwnStatus) {
   // Mask 13 (image 6) is corrupt. With no CHIs no group is decided by
   // bounds, so groups verify in key order, two per batch, and group 6's
   // load fails in the fourth batch — under io_pool as a prefetch while
-  // batch three is verified. Both query shapes, under every schedule, must
-  // return the load's own Corruption and must not hang on in-flight loads.
+  // batch three is verified. Scalar aggregation verifies the same way,
+  // except that its top-k goes one group per batch once its heap of 3 is
+  // full, and never prefetches. Both query shapes of both executors, under
+  // every schedule, must return the load's own Corruption and must not hang
+  // on in-flight loads.
   TempDir dir("maskagg_corrupt");
   auto store = testing_util::MakeStoreWithCorruptMask(dir.path(), 12, 13);
   MaskAggQuery topk;
@@ -459,21 +463,31 @@ TEST(MaskAggPipelineFailureTest, FailedLoadReturnsItsOwnStatus) {
   having.k.reset();
   having.having_op = CompareOp::kGt;
   having.having_threshold = 10.0;
+  AggregationQuery scalar_topk;
+  scalar_topk.term = topk.term;
+  scalar_topk.op = ScalarAggOp::kSum;
+  scalar_topk.k = 3;
+  AggregationQuery scalar_having = scalar_topk;
+  scalar_having.k.reset();
+  scalar_having.having_op = CompareOp::kGt;
+  scalar_having.having_threshold = 10.0;
   ThreadPool pool(3);
   ThreadPool io_pool(2);
   const std::pair<ThreadPool*, ThreadPool*> schedules[] = {
       {nullptr, nullptr}, {&pool, nullptr}, {nullptr, &io_pool},
       {&pool, &io_pool},  {&pool, &pool}};
-  for (const MaskAggQuery& q : {topk, having}) {
-    for (const auto& [compute, io] : schedules) {
-      EngineOptions opts;
-      opts.pool = compute;
-      opts.io_pool = io;
-      opts.agg_verify_batch = 2;
-      auto r = ExecuteMaskAgg(*store, nullptr, nullptr, q, opts);
-      ASSERT_TRUE(r.status().IsCorruption()) << r.status();
-      EXPECT_NE(r.status().message().find("mask 13"), std::string::npos)
-          << r.status();
+  for (const auto& [compute, io] : schedules) {
+    EngineOptions opts;
+    opts.pool = compute;
+    opts.io_pool = io;
+    opts.agg_verify_batch = 2;
+    for (const Status& st :
+         {ExecuteMaskAgg(*store, nullptr, nullptr, topk, opts).status(),
+          ExecuteMaskAgg(*store, nullptr, nullptr, having, opts).status(),
+          ExecuteAggregation(*store, nullptr, scalar_topk, opts).status(),
+          ExecuteAggregation(*store, nullptr, scalar_having, opts).status()}) {
+      ASSERT_TRUE(st.IsCorruption()) << st;
+      EXPECT_NE(st.message().find("mask 13"), std::string::npos) << st;
     }
   }
 }

@@ -40,6 +40,22 @@ TEST(SessionTest, VanillaBuildsAllIndexesAtOpen) {
   EXPECT_GE(session->index_build_seconds(), 0.0);
 }
 
+TEST(SessionTest, OpenReturnsTheFailingLoadsOwnStatus) {
+  // Mask 13 is corrupt: the bulk CHI build must surface its Corruption,
+  // naming the mask, whether or not the build runs on a pool.
+  TempDir dir("sess_corrupt");
+  auto store = testing_util::MakeStoreWithCorruptMask(dir.path(), 12, 13);
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SessionOptions opts = BaseOptions();
+    opts.pool = p;
+    auto session = Session::Open(store.get(), opts);
+    ASSERT_TRUE(session.status().IsCorruption()) << session.status();
+    EXPECT_NE(session.status().message().find("mask 13"), std::string::npos)
+        << session.status();
+  }
+}
+
 TEST(SessionTest, IncrementalStartsEmpty) {
   TempDir dir("sess");
   auto store = MakeStore(dir.path(), 10, 2, 32, 32);
